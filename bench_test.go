@@ -588,35 +588,46 @@ func benchmarkFrameOpts(b *testing.B, workload, workers int, probe *telemetry.Pr
 	if probe != nil {
 		sys.SetProbe(probe)
 	}
+	render := frameRenderer(b, sys, workload)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		render(i)
+	}
+}
+
+// frameRenderer binds the DFSL workload's mesh, texture and shaders on
+// a fresh GL context for sys and returns a function that renders frame
+// i of its camera orbit to completion.
+func frameRenderer(tb testing.TB, sys *StandaloneGPU, workload int) func(i int) {
+	tb.Helper()
 	ctx := NewGL(sys)
 	scene, err := geom.DFSLWorkload(workload)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx.Viewport(benchOpt.CS2Width, benchOpt.CS2Height)
 	if err := ctx.UseProgram(VSTransform, FSTexturedEarlyZ); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tex, err := ctx.UploadTexture(scene.Texture)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := ctx.BindTexture(0, tex); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mesh, err := ctx.UploadMesh(scene.Mesh)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		ctx.Clear(0xFF101020, true)
 		ctx.SetMVP(scene.MVP(i, float32(benchOpt.CS2Width)/float32(benchOpt.CS2Height)))
 		if err := ctx.DrawMesh(mesh); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := sys.RunUntilIdle(4_000_000_000); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

@@ -85,6 +85,9 @@ type Cache struct {
 	sets [][]line
 
 	mshrs map[uint64]*mshr
+	// freeMSHRs recycles released MSHRs with their waiter slices'
+	// capacity; Tick releases each one right after its OnReady loop.
+	freeMSHRs []*mshr
 
 	// Out carries fill reads and writebacks toward the next level.
 	Out *mem.Queue
@@ -244,7 +247,7 @@ func (c *Cache) Access(cycle uint64, addr uint64, kind mem.Kind, waiter any) Res
 		return Blocked // output port full: the requester retries
 	}
 	c.inflight = append(c.inflight, req)
-	m := &mshr{lineAddr: la, isWrite: kind == mem.Write}
+	m := c.newMSHR(la, kind == mem.Write)
 	if waiter != nil {
 		m.waiters = append(m.waiters, waiter)
 	}
@@ -308,9 +311,30 @@ func (c *Cache) Tick(cycle uint64) {
 			if m.isWrite {
 				c.markDirty(req.Addr)
 			}
+			c.releaseMSHR(m)
 		}
 	}
 	c.inflight = kept
+}
+
+// newMSHR takes an MSHR for lineAddr from the free list.
+func (c *Cache) newMSHR(la uint64, isWrite bool) *mshr {
+	n := len(c.freeMSHRs)
+	if n == 0 {
+		return &mshr{lineAddr: la, isWrite: isWrite}
+	}
+	m := c.freeMSHRs[n-1]
+	c.freeMSHRs = c.freeMSHRs[:n-1]
+	m.lineAddr, m.isWrite = la, isWrite
+	return m
+}
+
+// releaseMSHR returns a retired MSHR to the free list, dropping its
+// waiters but keeping the slice's capacity.
+func (c *Cache) releaseMSHR(m *mshr) {
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	c.freeMSHRs = append(c.freeMSHRs, m)
 }
 
 func (c *Cache) markDirty(la uint64) {

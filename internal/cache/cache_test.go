@@ -486,3 +486,42 @@ func TestDoneFillCounterScanAgreement(t *testing.T) {
 		check(cycle, "end of cycle")
 	}
 }
+
+// TestMissFillAllocs pins the miss path's allocations: a read miss, its
+// fill and the MSHR release allocate only the fill's mem.Request (the
+// request travels through the interconnect, L2 and DRAM, so it is not
+// recycled here). MSHRs and their waiter slices come from the cache's
+// free list.
+func TestMissFillAllocs(t *testing.T) {
+	c := New(testConfig(), nil)
+	ready := 0
+	c.OnReady = func(any, uint64) { ready++ }
+	waiter := new(int)
+	var cycle, line uint64
+	miss := func() {
+		cycle++
+		line++
+		addr := line * 64
+		if res := c.Access(cycle, addr, mem.Read, waiter); res != Miss {
+			t.Fatalf("access %#x = %v, want miss", addr, res)
+		}
+		c.Access(cycle, addr+4, mem.Read, waiter) // merged waiter
+		c.Out.Pop().Complete(cycle)
+		c.Tick(cycle)
+	}
+	for i := 0; i < 64; i++ {
+		miss() // warm: sets, inflight slice, free list, waiter capacity
+	}
+	if n := testing.AllocsPerRun(1000, miss); n != 1 {
+		t.Fatalf("%v allocations per miss, fill and release; want 1 (the fill request)", n)
+	}
+	if ready != 2*(64+1001) {
+		t.Fatalf("OnReady ran %d times, want %d", ready, 2*(64+1001))
+	}
+	if msg := c.AuditDoneFills(); msg != "" {
+		t.Fatal(msg)
+	}
+	if len(c.freeMSHRs) != 1 || c.PendingMisses() != 0 {
+		t.Fatalf("free MSHRs %d, pending %d; want 1 and 0", len(c.freeMSHRs), c.PendingMisses())
+	}
+}

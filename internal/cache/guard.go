@@ -16,7 +16,8 @@ func (c *Cache) AttachGuard(g *guard.Checker, name string) {
 // relies on: live MSHRs never exceed capacity, each MSHR has exactly
 // one in-flight fill request (and vice versa — a broken pairing is an
 // MSHR leak: the line would never fill and its waiters would wedge),
-// and merged waiters respect the per-line target cap.
+// merged waiters respect the per-line target cap, and no free-listed
+// MSHR is still in use.
 func (c *Cache) checkInvariants(cycle uint64) error {
 	if len(c.mshrs) > c.cfg.MSHRs {
 		return fmt.Errorf("%d MSHRs live, capacity %d", len(c.mshrs), c.cfg.MSHRs)
@@ -32,6 +33,17 @@ func (c *Cache) checkInvariants(cycle uint64) error {
 	for la, m := range c.mshrs {
 		if len(m.waiters) > c.cfg.MSHRTargets {
 			return fmt.Errorf("MSHR %#x holds %d waiters, cap %d", la, len(m.waiters), c.cfg.MSHRTargets)
+		}
+	}
+	// Recycling audit: a free-listed MSHR must be fully retired. A
+	// waiter left behind or a live index entry means a later miss would
+	// share the MSHR with a fill still in flight.
+	for _, f := range c.freeMSHRs {
+		if len(f.waiters) != 0 {
+			return fmt.Errorf("free-listed MSHR %#x still holds %d waiters", f.lineAddr, len(f.waiters))
+		}
+		if c.mshrs[f.lineAddr] == f {
+			return fmt.Errorf("free-listed MSHR %#x is still live", f.lineAddr)
 		}
 	}
 	// Wheel audit: the O(1) done-fill counter must agree with an

@@ -55,3 +55,30 @@ func TestGuardDetectsOrphanFill(t *testing.T) {
 		t.Fatalf("violations = %v, want exactly one", v)
 	}
 }
+
+// A filled miss releases its MSHR to the free list; a waiter left on a
+// free-listed MSHR must trip the recycling audit.
+func TestGuardDetectsDirtyFreeMSHR(t *testing.T) {
+	c := New(testConfig(), nil)
+	g := guard.NewChecker()
+	c.AttachGuard(g, "l1")
+	if res := c.Access(0, 0x100, mem.Read, "w1"); res != Miss {
+		t.Fatalf("access = %v, want miss", res)
+	}
+	r := c.Out.Pop()
+	r.Complete(5)
+	c.Tick(6)
+	if len(c.freeMSHRs) != 1 {
+		t.Fatalf("free MSHRs = %d after the fill, want 1", len(c.freeMSHRs))
+	}
+	g.Tick(6)
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("healthy free list reported violations: %v", v)
+	}
+	c.freeMSHRs[0].waiters = append(c.freeMSHRs[0].waiters, "stale")
+	g.Tick(7)
+	v := g.Violations()
+	if len(v) != 1 || !strings.Contains(v[0].Detail, "still holds 1 waiters") {
+		t.Fatalf("violations = %v, want a free-listed MSHR with waiters", v)
+	}
+}

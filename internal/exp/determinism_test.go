@@ -35,6 +35,13 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, noSk
 	opt.Pool = pool
 	opt.NoSkip = noSkip
 	opt.NoWheel = noWheel
+	return socDigest(t, model, cfg, opt)
+}
+
+// socDigest runs one Case Study I cell under opt and hashes its
+// observable end state.
+func socDigest(t *testing.T, model int, cfg MemConfig, opt Options) string {
+	t.Helper()
 	reg := stats.NewRegistry()
 	s, err := buildSoC(model, cfg, opt.RegularMbps, opt, reg)
 	if err != nil {
@@ -59,6 +66,13 @@ func socStateDigest(t *testing.T, model int, cfg MemConfig, pool *par.Pool, noSk
 // standaloneStateDigest renders two DFSL frames on the standalone GPU
 // and hashes the observable end state.
 func standaloneStateDigest(t *testing.T, pool *par.Pool, noSkip, noWheel bool) string {
+	t.Helper()
+	return standaloneFramesDigest(t, pool, noSkip, noWheel, 2)
+}
+
+// standaloneFramesDigest renders frames W3 frames on the standalone
+// GPU and hashes the observable end state.
+func standaloneFramesDigest(t *testing.T, pool *par.Pool, noSkip, noWheel bool, frames int) string {
 	t.Helper()
 	cfg := gpu.CaseStudyIIConfig()
 	sys := gpu.NewStandalone(cfg, dram.Config{
@@ -90,7 +104,7 @@ func standaloneStateDigest(t *testing.T, pool *par.Pool, noSkip, noWheel bool) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	for frame := 0; frame < 2; frame++ {
+	for frame := 0; frame < frames; frame++ {
 		ctx.Clear(0xFF101020, true)
 		ctx.SetMVP(scene.MVP(frame, 160.0/120.0))
 		if err := ctx.DrawMesh(mesh); err != nil {

@@ -59,11 +59,22 @@ type Pool struct {
 }
 
 // runCtx is the per-Run dispatch state shared with workers.
+//
+// Groups are rerun every cycle, so a worker may still be inside run()
+// for the previous Run of a group when the coordinator starts the next
+// one. next therefore carries the Run's generation in its high 32 bits
+// and the next task index in its low 32 bits: a worker claims a task
+// only by a compare-and-swap against the generation it started with,
+// so a stale worker can never claim (or count toward) a newer Run, and
+// done is reset before the new generation is published.
 type runCtx struct {
 	tasks []func()
-	next  atomic.Int64
+	gen   uint32 // coordinator-owned: generation of the latest Run
+	next  atomic.Uint64
 	done  atomic.Int64
 }
+
+const taskMask = 1<<32 - 1
 
 // NewPool creates a pool of the given size. Size <= 1 yields an inline
 // pool with no goroutines (still usable; Run degenerates to a loop).
@@ -140,16 +151,20 @@ func (p *Pool) worker() {
 	}
 }
 
-// run pulls tasks off the shared counter until none remain.
+// run claims tasks of the generation current at entry until none
+// remain or a newer Run has started.
 func (rc *runCtx) run() {
-	n := int64(len(rc.tasks))
-	for {
-		i := rc.next.Add(1) - 1
-		if i >= n {
-			return
+	n := uint64(len(rc.tasks))
+	v := rc.next.Load()
+	gen := v >> 32
+	for v>>32 == gen && v&taskMask < n {
+		if !rc.next.CompareAndSwap(v, v+1) {
+			v = rc.next.Load()
+			continue
 		}
-		rc.tasks[i]()
+		rc.tasks[v&taskMask]()
 		rc.done.Add(1)
+		v = rc.next.Load()
 	}
 }
 
@@ -178,8 +193,9 @@ func (g *Group) Run() {
 		}
 		return
 	}
-	g.rc.next.Store(0)
+	g.rc.gen++
 	g.rc.done.Store(0)
+	g.rc.next.Store(uint64(g.rc.gen) << 32)
 	p.cur.Store(&g.rc)
 	p.epoch.Add(1)
 	p.mu.Lock()

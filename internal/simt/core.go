@@ -64,12 +64,41 @@ type transaction struct {
 	op    *memOp
 }
 
-// memOp tracks one warp memory instruction until its data returns.
+// txQueue is the LSU's FIFO of coalesced transactions awaiting cache
+// issue. It holds transaction values behind a head index and compacts
+// into its own backing array, so steady-state issue never allocates.
+type txQueue struct {
+	buf  []transaction
+	head int
+}
+
+func (q *txQueue) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest transaction; valid until the next push.
+func (q *txQueue) front() *transaction { return &q.buf[q.head] }
+
+func (q *txQueue) pop() {
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+func (q *txQueue) push(tx transaction) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, tx)
+}
+
+// memOp tracks one warp memory load until its data returns. memOps
+// come from the core's free list and go back to it at a single release
+// point, opDone, when the last transaction completes.
 type memOp struct {
 	warp      *Warp
-	regs      []uint8
+	regs      regSet
 	remaining int
-	isLoad    bool
 }
 
 // wbEvent releases scoreboard entries at a future cycle (ALU/SFU
@@ -77,8 +106,8 @@ type memOp struct {
 type wbEvent struct {
 	at   uint64
 	warp *Warp
-	regs []uint8
 	op   *memOp // when set, decrement op instead of direct unlock
+	regs regSet
 }
 
 // Core is one SIMT core.
@@ -96,9 +125,18 @@ type Core struct {
 	Out *mem.Queue
 
 	// txQueue holds coalesced transactions awaiting cache issue.
-	txQueue []*transaction
+	txQueue txQueue
 
 	events []wbEvent
+
+	// addrs and lines are executeMem's scratch: the executing lanes'
+	// addresses and their coalesced cache lines.
+	addrs, lines []uint64
+
+	// Free lists; see DESIGN.md "Busy-path object lifetimes". freeOps
+	// is refilled by opDone, freeWarps by reap (capped at MaxWarps).
+	freeOps   []*memOp
+	freeWarps []*Warp
 
 	lastScheduled int
 	warpSeq       uint64
@@ -208,7 +246,14 @@ func (c *Core) Launch(prog *shader.Program, env WarpEnv, blockID int, mask uint3
 	if mask == 0 {
 		return nil, fmt.Errorf("simt: empty launch mask")
 	}
-	w := newWarp(int(c.warpSeq), prog, env, blockID, mask)
+	var w *Warp
+	if n := len(c.freeWarps); n > 0 {
+		w = c.freeWarps[n-1]
+		c.freeWarps = c.freeWarps[:n-1]
+	} else {
+		w = new(Warp)
+	}
+	w.reset(int(c.warpSeq), prog, env, blockID, mask)
 	c.warpSeq++
 	w.LaunchedAt = c.warpSeq
 	w.launchCycle = c.curCycle
@@ -246,7 +291,7 @@ func (c *Core) StampCycle(cycle uint64) {
 
 // Idle reports whether the core has no warps and no outstanding memory.
 func (c *Core) Idle() bool {
-	return len(c.warps) == 0 && len(c.txQueue) == 0 && len(c.events) == 0
+	return len(c.warps) == 0 && c.txQueue.len() == 0 && len(c.events) == 0
 }
 
 // quiet reports whether this cycle's Tick would do no work: no resident
@@ -260,7 +305,7 @@ func (c *Core) Idle() bool {
 // issue_idle counters or emit stall instants — in every mode, so
 // results stay mode-independent.
 func (c *Core) quiet(cycle uint64) bool {
-	if len(c.txQueue) > 0 || c.Out.Len() > 0 {
+	if c.txQueue.len() > 0 || c.Out.Len() > 0 {
 		return false
 	}
 	for _, w := range c.warps {
@@ -289,7 +334,7 @@ func (c *Core) quiet(cycle uint64) bool {
 // downstream (NoC/DRAM). Mirrors quiet() exactly: NextWake(c) > c iff
 // quiet(c).
 func (c *Core) NextWake(cycle uint64) uint64 {
-	if len(c.txQueue) > 0 || c.Out.Len() > 0 {
+	if c.txQueue.len() > 0 || c.Out.Len() > 0 {
 		return cycle
 	}
 	w := uint64(mem.NeverWake)
@@ -386,11 +431,7 @@ func (c *Core) Tick(cycle uint64) (quiet bool) {
 
 func (c *Core) completeEvent(e wbEvent, cycle uint64) {
 	if e.op != nil {
-		e.op.remaining--
-		if e.op.remaining == 0 {
-			e.op.warp.unlock(e.op.regs)
-			e.op.warp.outstanding--
-		}
+		c.opDone(e.op)
 		return
 	}
 	e.warp.unlock(e.regs)
@@ -402,18 +443,44 @@ func (c *Core) onCacheReady(waiter any, cycle uint64) {
 	if !ok || op == nil {
 		return
 	}
-	op.remaining--
-	if op.remaining == 0 {
-		op.warp.unlock(op.regs)
-		op.warp.outstanding--
+	c.opDone(op)
+}
+
+// newMemOp takes a memOp for n transactions from the free list.
+func (c *Core) newMemOp(w *Warp, regs regSet, n int) *memOp {
+	var op *memOp
+	if k := len(c.freeOps); k > 0 {
+		op = c.freeOps[k-1]
+		c.freeOps = c.freeOps[:k-1]
+	} else {
+		op = new(memOp)
 	}
+	*op = memOp{warp: w, regs: regs, remaining: n}
+	return op
+}
+
+// opDone completes one transaction of op. The last one releases the
+// warp's registers and returns op to the free list: every transaction
+// has then been issued and completed, so neither the LSU queue, the
+// writeback events nor any MSHR still names it. The op is cleared so
+// a use after release dereferences a nil warp instead of corrupting
+// another warp's scoreboard.
+func (c *Core) opDone(op *memOp) {
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	op.warp.unlock(op.regs)
+	op.warp.outstanding--
+	*op = memOp{}
+	c.freeOps = append(c.freeOps, op)
 }
 
 // issueTransactions pushes queued coalesced accesses into caches.
 func (c *Core) issueTransactions(cycle uint64) {
 	n := 0
-	for len(c.txQueue) > 0 && n < c.Cfg.LSUWidth {
-		tx := c.txQueue[0]
+	for c.txQueue.len() > 0 && n < c.Cfg.LSUWidth {
+		tx := c.txQueue.front()
 		if tx.cache == nil {
 			// Raw store (vertex output): straight to the output port.
 			// The transaction stays queued if the port is full.
@@ -426,7 +493,7 @@ func (c *Core) issueTransactions(cycle uint64) {
 				return // in-order LSU: retry next cycle
 			}
 			c.finishTx(tx, cycle, 1)
-			c.txQueue = c.txQueue[1:]
+			c.txQueue.pop()
 			n++
 			continue
 		}
@@ -434,11 +501,11 @@ func (c *Core) issueTransactions(cycle uint64) {
 		switch res {
 		case cache.Hit:
 			c.finishTx(tx, cycle, tx.cache.Config().HitLatency)
-			c.txQueue = c.txQueue[1:]
+			c.txQueue.pop()
 			n++
 		case cache.Miss:
 			// Waiter registered with the MSHR; fill will decrement.
-			c.txQueue = c.txQueue[1:]
+			c.txQueue.pop()
 			n++
 		case cache.Blocked:
 			c.memStalls.Inc()
@@ -472,7 +539,7 @@ func (c *Core) warpReady(w *Warp, cycle uint64) bool {
 		return false
 	}
 	// LSU backpressure: don't issue memory work into a saturated queue.
-	if in.IsMemory() && len(c.txQueue) >= txQueueDepth {
+	if in.IsMemory() && c.txQueue.len() >= txQueueDepth {
 		return false
 	}
 	// Memory fences: a memory instruction waits for prior ones from this
@@ -519,7 +586,7 @@ func (c *Core) schedReady(w *Warp, cycle uint64) bool {
 		return false
 	}
 	if in.IsMemory() {
-		if len(c.txQueue) >= txQueueDepth {
+		if c.txQueue.len() >= txQueueDepth {
 			return false
 		}
 		if w.outstanding > 0 && shader.ClassOf(in.Op) == shader.ClassROP {
@@ -608,7 +675,7 @@ func (c *Core) traceStall(cycle uint64) {
 				memory++
 			case w.hazard(in):
 				scoreboard++
-			case in.IsMemory() && len(c.txQueue) >= txQueueDepth:
+			case in.IsMemory() && c.txQueue.len() >= txQueueDepth:
 				memory++
 			}
 		}
@@ -632,36 +699,64 @@ func (c *Core) traceStall(cycle uint64) {
 	}
 }
 
-// reap removes retired warps and fires their env callbacks.
+// reap removes retired warps, fires their env callbacks and recycles
+// them. A warp goes to the free list only once nothing can touch it
+// again: a graphics warp when no pending writeback event names it
+// (an ALU writeback can outlive the exit), a compute warp when its
+// block is deleted, since barrier release writes to siblings that have
+// already retired.
 func (c *Core) reap() {
 	kept := c.warps[:0]
 	for _, w := range c.warps {
-		if w.done && w.outstanding == 0 {
-			c.warpsRetired.Inc()
-			c.trace.Span1(emtrace.SrcSIMT, c.traceTrack, w.Prog.Name,
-				w.launchCycle, c.curCycle, emtrace.Arg{Key: "warp", Val: int64(w.ID)})
-			if w.BlockID >= 0 {
-				if b := c.blocks[w.BlockID]; b != nil {
-					b.live--
-					if b.live == 0 {
-						delete(c.blocks, w.BlockID)
-					} else if b.atBarrier >= b.live && b.atBarrier > 0 {
-						// A warp exited while siblings wait: the barrier
-						// is now satisfied by the survivors.
-						for _, bw := range b.warps {
-							bw.atBarrier = false
-							bw.parked = 0
-						}
-						b.atBarrier = 0
-					}
-				}
-			}
-			if w.Env != nil {
-				w.Env.Retired(w)
-			}
+		if !w.done || w.outstanding != 0 {
+			kept = append(kept, w)
 			continue
 		}
-		kept = append(kept, w)
+		c.warpsRetired.Inc()
+		c.trace.Span1(emtrace.SrcSIMT, c.traceTrack, w.Prog.Name,
+			w.launchCycle, c.curCycle, emtrace.Arg{Key: "warp", Val: int64(w.ID)})
+		var done *blockState
+		if w.BlockID >= 0 {
+			if b := c.blocks[w.BlockID]; b != nil {
+				b.live--
+				if b.live == 0 {
+					delete(c.blocks, w.BlockID)
+					done = b
+				} else if b.atBarrier >= b.live && b.atBarrier > 0 {
+					// A warp exited while siblings wait: the barrier
+					// is now satisfied by the survivors.
+					for _, bw := range b.warps {
+						bw.atBarrier = false
+						bw.parked = 0
+					}
+					b.atBarrier = 0
+				}
+			}
+		}
+		if w.Env != nil {
+			w.Env.Retired(w)
+		}
+		if w.BlockID < 0 {
+			c.recycleWarp(w)
+		} else if done != nil {
+			for _, bw := range done.warps {
+				c.recycleWarp(bw)
+			}
+		}
 	}
 	c.warps = kept
+}
+
+// recycleWarp puts a retired warp on the free list unless a pending
+// writeback event still names it or the list is full.
+func (c *Core) recycleWarp(w *Warp) {
+	if len(c.freeWarps) >= c.Cfg.MaxWarps {
+		return
+	}
+	for i := range c.events {
+		if c.events[i].warp == w {
+			return
+		}
+	}
+	c.freeWarps = append(c.freeWarps, w)
 }

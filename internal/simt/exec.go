@@ -29,14 +29,14 @@ func (c *Core) execute(w *Warp, cycle uint64) {
 	mask := w.ActiveMask()
 	c.instrs.Inc()
 
-	// Per-lane predication mask.
-	exec := uint32(0)
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		if shader.Active(in, &w.Threads[lane]) {
-			exec |= 1 << lane
+	exec := mask
+	if in.Pred >= 0 {
+		// Only predicated instructions need the per-lane test.
+		exec = 0
+		for lane := 0; lane < WarpSize; lane++ {
+			if mask&(1<<lane) != 0 && shader.Active(in, &w.Threads[lane]) {
+				exec |= 1 << lane
+			}
 		}
 	}
 
@@ -75,7 +75,7 @@ func (c *Core) execute(w *Warp, cycle uint64) {
 				shader.ExecALU(in, &w.Threads[lane], w.Special[lane])
 			}
 		}
-		if regs := w.lockDst(in); regs != nil {
+		if regs := w.lockDst(in); regs.n > 0 {
 			lat := c.Cfg.ALULatency
 			if cls == shader.ClassSFU {
 				lat = c.Cfg.SFULatency
@@ -93,215 +93,238 @@ func (c *Core) execute(w *Warp, cycle uint64) {
 }
 
 // executeMem handles every memory-class instruction: functional effect
-// now, timing via coalesced cache transactions.
+// now, timing via coalesced cache transactions. Each op is a direct
+// lane loop that collects the executing lanes' addresses into the
+// core's scratch slice; nothing here allocates in steady state.
 func (c *Core) executeMem(w *Warp, in shader.Instr, exec uint32, cycle uint64) {
 	memory := w.Env.Memory()
-
-	// lineAddrs coalesces per-lane addresses into unique cache lines.
-	coalesce := func(target *cache.Cache, addrs []uint64) []uint64 {
-		seen := make(map[uint64]bool, 4)
-		var lines []uint64
-		for _, a := range addrs {
-			la := target.LineAddr(a)
-			if !seen[la] {
-				seen[la] = true
-				lines = append(lines, la)
-			}
-		}
-		return lines
-	}
-
-	// issueLoad locks dst registers and enqueues read transactions.
-	issueLoad := func(target *cache.Cache, addrs []uint64, regs []uint8) {
-		if len(addrs) == 0 {
-			// No memory touched (e.g. all lanes predicated off):
-			// release immediately via a short event.
-			if regs != nil {
-				c.events = append(c.events, wbEvent{at: cycle + c.Cfg.ALULatency, warp: w, regs: regs})
-			}
-			return
-		}
-		lines := coalesce(target, addrs)
-		op := &memOp{warp: w, regs: regs, remaining: len(lines), isLoad: true}
-		w.outstanding++
-		for _, la := range lines {
-			c.txQueue = append(c.txQueue, &transaction{addr: la, kind: mem.Read, cache: target, op: op})
-		}
-	}
-
-	// issueStore enqueues fire-and-forget write transactions.
-	issueStore := func(target *cache.Cache, addrs []uint64) {
-		if len(addrs) == 0 {
-			return
-		}
-		for _, la := range coalesce(target, addrs) {
-			c.txQueue = append(c.txQueue, &transaction{addr: la, kind: mem.Write, cache: target})
-		}
-	}
-
-	lanes := func(f func(lane int, t *shader.Thread)) {
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				f(lane, &w.Threads[lane])
-			}
-		}
-	}
+	addrs := c.addrs[:0]
 
 	switch in.Op {
 	case shader.OpLdGlobal:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			ea := shader.EA(in, t)
-			t.SetU(in.Dst, memory.ReadU32(ea))
-			addrs = append(addrs, ea)
-		})
-		issueLoad(c.L1D, addrs, w.lockDst(in))
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				ea := shader.EA(in, t)
+				t.SetU(in.Dst, memory.ReadU32(ea))
+				addrs = append(addrs, ea)
+			}
+		}
+		c.issueLoad(w, c.L1D, addrs, w.lockDst(in), cycle)
 
 	case shader.OpStGlobal:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			ea := shader.EA(in, t)
-			memory.WriteU32(ea, t.U(in.A))
-			addrs = append(addrs, ea)
-		})
-		issueStore(c.L1D, addrs)
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				ea := shader.EA(in, t)
+				memory.WriteU32(ea, t.U(in.A))
+				addrs = append(addrs, ea)
+			}
+		}
+		c.issueStore(c.L1D, addrs)
 
 	case shader.OpAtomAdd:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			ea := shader.EA(in, t)
-			old := memory.ReadF32(ea)
-			memory.WriteF32(ea, old+t.F(in.A))
-			t.SetF(in.Dst, old)
-			addrs = append(addrs, ea)
-		})
-		issueLoad(c.L1D, addrs, w.lockDst(in))
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				ea := shader.EA(in, t)
+				old := memory.ReadF32(ea)
+				memory.WriteF32(ea, old+t.F(in.A))
+				t.SetF(in.Dst, old)
+				addrs = append(addrs, ea)
+			}
+		}
+		c.issueLoad(w, c.L1D, addrs, w.lockDst(in), cycle)
 		w.readyAt = cycle + atomExtraLatency
 
 	case shader.OpLdShared:
 		sh := w.Env.SharedMem()
-		lanes(func(lane int, t *shader.Thread) {
-			off := int(shader.EA(in, t))
-			if sh != nil && off >= 0 && off+4 <= len(sh) {
-				t.SetU(in.Dst, leU32(sh[off:]))
-			} else {
-				t.SetU(in.Dst, 0)
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				off := int(shader.EA(in, t))
+				if sh != nil && off >= 0 && off+4 <= len(sh) {
+					t.SetU(in.Dst, leU32(sh[off:]))
+				} else {
+					t.SetU(in.Dst, 0)
+				}
 			}
-		})
-		if regs := w.lockDst(in); regs != nil {
+		}
+		if regs := w.lockDst(in); regs.n > 0 {
 			c.events = append(c.events, wbEvent{at: cycle + sharedLatency, warp: w, regs: regs})
 		}
 
 	case shader.OpStShared:
 		sh := w.Env.SharedMem()
-		lanes(func(lane int, t *shader.Thread) {
-			off := int(shader.EA(in, t))
-			if sh != nil && off >= 0 && off+4 <= len(sh) {
-				putU32(sh[off:], t.U(in.A))
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				off := int(shader.EA(in, t))
+				if sh != nil && off >= 0 && off+4 <= len(sh) {
+					putU32(sh[off:], t.U(in.A))
+				}
 			}
-		})
+		}
 		w.readyAt = cycle + 1
 
 	case shader.OpLdConst:
 		base := w.Env.ConstBase()
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			ea := base + shader.EA(in, t)
-			t.SetU(in.Dst, memory.ReadU32(ea))
-			addrs = append(addrs, ea)
-		})
-		issueLoad(c.L1C, addrs, w.lockDst(in))
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				ea := base + shader.EA(in, t)
+				t.SetU(in.Dst, memory.ReadU32(ea))
+				addrs = append(addrs, ea)
+			}
+		}
+		c.issueLoad(w, c.L1C, addrs, w.lockDst(in), cycle)
 
 	case shader.OpAttr4:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			val, addr := w.Env.AttrIn(lane, int(in.Slot))
-			for i := 0; i < 4; i++ {
-				t.SetF(in.Dst+uint8(i), val[i])
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				val, addr := w.Env.AttrIn(lane, int(in.Slot))
+				for i := 0; i < 4; i++ {
+					t.SetF(in.Dst+uint8(i), val[i])
+				}
+				if addr != 0 {
+					addrs = append(addrs, addr, addr+12) // vec4 spans 16 bytes
+				}
 			}
-			if addr != 0 {
-				addrs = append(addrs, addr, addr+12) // vec4 spans 16 bytes
-			}
-		})
+		}
 		regs := w.lockDst(in)
 		if len(addrs) > 0 {
-			issueLoad(c.L1C, addrs, regs)
-		} else if regs != nil {
+			c.issueLoad(w, c.L1C, addrs, regs, cycle)
+		} else if regs.n > 0 {
 			// Fragment varyings: plane-equation evaluation, ALU cost.
 			c.events = append(c.events, wbEvent{at: cycle + c.Cfg.ALULatency, warp: w, regs: regs})
 		}
 
 	case shader.OpOut4:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			r := in.A.Reg
-			val := [4]float32{
-				math.Float32frombits(t.Regs[r]),
-				math.Float32frombits(t.Regs[r+1]),
-				math.Float32frombits(t.Regs[r+2]),
-				math.Float32frombits(t.Regs[r+3]),
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				r := in.A.Reg
+				val := [4]float32{
+					math.Float32frombits(t.Regs[r]),
+					math.Float32frombits(t.Regs[r+1]),
+					math.Float32frombits(t.Regs[r+2]),
+					math.Float32frombits(t.Regs[r+3]),
+				}
+				if addr := w.Env.OutWrite(lane, int(in.Slot), val); addr != 0 {
+					addrs = append(addrs, addr)
+				}
 			}
-			if addr := w.Env.OutWrite(lane, int(in.Slot), val); addr != 0 {
-				addrs = append(addrs, addr)
-			}
-		})
+		}
 		// Vertex outputs stream directly to the L2-backed output buffer,
 		// bypassing L1 (cache == nil).
 		for _, a := range addrs {
-			c.txQueue = append(c.txQueue, &transaction{addr: a, kind: mem.Write})
+			c.txQueue.push(transaction{addr: a, kind: mem.Write})
 		}
 
 	case shader.OpTex4:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			u, v := t.F(in.A), t.F(in.B)
-			val, texels := w.Env.Tex(lane, int(in.Slot), u, v)
-			for i := 0; i < 4; i++ {
-				t.SetF(in.Dst+uint8(i), val[i])
-			}
-			for _, a := range texels {
-				if a != 0 {
-					addrs = append(addrs, a)
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				t := &w.Threads[lane]
+				u, v := t.F(in.A), t.F(in.B)
+				val, texels := w.Env.Tex(lane, int(in.Slot), u, v)
+				for i := 0; i < 4; i++ {
+					t.SetF(in.Dst+uint8(i), val[i])
+				}
+				for _, a := range texels {
+					if a != 0 {
+						addrs = append(addrs, a)
+					}
 				}
 			}
-		})
-		issueLoad(c.L1T, addrs, w.lockDst(in))
+		}
+		c.issueLoad(w, c.L1T, addrs, w.lockDst(in), cycle)
 
 	case shader.OpZLd:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			a := w.Env.ZAddr(lane)
-			t.SetF(in.Dst, memory.ReadF32(a))
-			addrs = append(addrs, a)
-		})
-		issueLoad(c.L1Z, addrs, w.lockDst(in))
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				a := w.Env.ZAddr(lane)
+				w.Threads[lane].SetF(in.Dst, memory.ReadF32(a))
+				addrs = append(addrs, a)
+			}
+		}
+		c.issueLoad(w, c.L1Z, addrs, w.lockDst(in), cycle)
 
 	case shader.OpZSt:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			a := w.Env.ZAddr(lane)
-			memory.WriteF32(a, t.F(in.A))
-			addrs = append(addrs, a)
-		})
-		issueStore(c.L1Z, addrs)
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				a := w.Env.ZAddr(lane)
+				memory.WriteF32(a, w.Threads[lane].F(in.A))
+				addrs = append(addrs, a)
+			}
+		}
+		c.issueStore(c.L1Z, addrs)
 
 	case shader.OpFBLd:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			a := w.Env.CAddr(lane)
-			t.SetU(in.Dst, memory.ReadU32(a))
-			addrs = append(addrs, a)
-		})
-		issueLoad(c.L1D, addrs, w.lockDst(in))
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				a := w.Env.CAddr(lane)
+				w.Threads[lane].SetU(in.Dst, memory.ReadU32(a))
+				addrs = append(addrs, a)
+			}
+		}
+		c.issueLoad(w, c.L1D, addrs, w.lockDst(in), cycle)
 
 	case shader.OpFBSt:
-		var addrs []uint64
-		lanes(func(lane int, t *shader.Thread) {
-			a := w.Env.CAddr(lane)
-			memory.WriteU32(a, t.U(in.A))
-			addrs = append(addrs, a)
-		})
-		issueStore(c.L1D, addrs)
+		for lane := 0; lane < WarpSize; lane++ {
+			if exec&(1<<lane) != 0 {
+				a := w.Env.CAddr(lane)
+				memory.WriteU32(a, w.Threads[lane].U(in.A))
+				addrs = append(addrs, a)
+			}
+		}
+		c.issueStore(c.L1D, addrs)
+	}
+	c.addrs = addrs[:0] // keep any growth for the next instruction
+}
+
+// coalesce reduces per-lane addresses to their unique cache lines in
+// first-touch order (transaction order is part of the timing), using
+// the core's line scratch slice.
+func (c *Core) coalesce(target *cache.Cache, addrs []uint64) []uint64 {
+	lines := c.lines[:0]
+next:
+	for _, a := range addrs {
+		la := target.LineAddr(a)
+		for i := len(lines) - 1; i >= 0; i-- {
+			if lines[i] == la {
+				continue next
+			}
+		}
+		lines = append(lines, la)
+	}
+	c.lines = lines
+	return lines
+}
+
+// issueLoad enqueues read transactions for addrs under one memOp that
+// releases regs when the last line returns.
+func (c *Core) issueLoad(w *Warp, target *cache.Cache, addrs []uint64, regs regSet, cycle uint64) {
+	if len(addrs) == 0 {
+		// No memory touched (e.g. all lanes predicated off): release
+		// immediately via a short event.
+		if regs.n > 0 {
+			c.events = append(c.events, wbEvent{at: cycle + c.Cfg.ALULatency, warp: w, regs: regs})
+		}
+		return
+	}
+	lines := c.coalesce(target, addrs)
+	op := c.newMemOp(w, regs, len(lines))
+	w.outstanding++
+	for _, la := range lines {
+		c.txQueue.push(transaction{addr: la, kind: mem.Read, cache: target, op: op})
+	}
+}
+
+// issueStore enqueues fire-and-forget write transactions.
+func (c *Core) issueStore(target *cache.Cache, addrs []uint64) {
+	for _, la := range c.coalesce(target, addrs) {
+		c.txQueue.push(transaction{addr: la, kind: mem.Write, cache: target})
 	}
 }
 

@@ -41,13 +41,8 @@ type FuncRunner struct {
 // Exec runs one warp to completion with FuncExec semantics.
 func (r *FuncRunner) Exec(prog *shader.Program, env WarpEnv, mask uint32, specials [WarpSize]shader.Special) {
 	w := &r.warp
-	stack := w.stack[:0]
-	// Reset in place: the zero Warp matches newWarp's fresh allocation
-	// (threads and scoreboard cleared), only the stack backing array is
-	// carried over.
-	*w = Warp{Prog: prog, Env: env, BlockID: -1, Special: specials}
-	w.stack = append(stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
-	w.pendingRPC = noRPC
+	w.reset(0, prog, env, -1, mask)
+	w.Special = specials
 	if r.view == nil || r.view.Memory() != env.Memory() {
 		r.view = mem.NewView(env.Memory())
 	}

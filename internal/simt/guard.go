@@ -56,6 +56,9 @@ func (c *Core) AttachGuard(g *guard.Checker) {
 }
 
 func (c *Core) checkWarps(cycle uint64) error {
+	if err := c.checkFreeLists(); err != nil {
+		return err
+	}
 	for _, w := range c.warps {
 		if err := w.checkInvariants(); err != nil {
 			return fmt.Errorf("warp %d (%s): %w", w.ID, w.Prog.Name, err)
@@ -71,6 +74,57 @@ func (c *Core) checkWarps(cycle uint64) error {
 	return nil
 }
 
+// checkFreeLists audits the recycled objects: a free-listed warp must
+// be out of c.warps, out of every block and unnamed by any writeback
+// event, and a free-listed memOp must be named by no event and no
+// queued transaction. A violation means an object was released while
+// still reachable and its reuse would silently corrupt the scoreboard.
+func (c *Core) checkFreeLists() error {
+	if len(c.freeWarps) > c.Cfg.MaxWarps {
+		return fmt.Errorf("%d free-listed warps, cap %d", len(c.freeWarps), c.Cfg.MaxWarps)
+	}
+	freeWarps := make(map[*Warp]bool, len(c.freeWarps))
+	for _, w := range c.freeWarps {
+		if freeWarps[w] {
+			return fmt.Errorf("warp %d free-listed twice", w.ID)
+		}
+		freeWarps[w] = true
+	}
+	for _, w := range c.warps {
+		if freeWarps[w] {
+			return fmt.Errorf("free-listed warp %d is resident", w.ID)
+		}
+	}
+	for id, b := range c.blocks {
+		for _, w := range b.warps {
+			if freeWarps[w] {
+				return fmt.Errorf("free-listed warp %d is still in block %d", w.ID, id)
+			}
+		}
+	}
+	freeOps := make(map[*memOp]bool, len(c.freeOps))
+	for _, op := range c.freeOps {
+		if freeOps[op] {
+			return errors.New("memOp free-listed twice")
+		}
+		freeOps[op] = true
+	}
+	for _, e := range c.events {
+		if freeWarps[e.warp] {
+			return fmt.Errorf("free-listed warp %d is named by a writeback event at %d", e.warp.ID, e.at)
+		}
+		if freeOps[e.op] {
+			return fmt.Errorf("free-listed memOp is named by a writeback event at %d", e.at)
+		}
+	}
+	for _, tx := range c.txQueue.buf[c.txQueue.head:] {
+		if freeOps[tx.op] {
+			return fmt.Errorf("free-listed memOp is named by a queued transaction to %#x", tx.addr)
+		}
+	}
+	return nil
+}
+
 // Instructions returns the number of instructions issued so far — one
 // term of the run loops' forward-progress signature.
 func (c *Core) Instructions() int64 { return c.instrs.Value() }
@@ -79,12 +133,12 @@ func (c *Core) Instructions() int64 { return c.instrs.Value() }
 // and L1 occupancy plus one line per resident warp (capped at maxWarps
 // lines). Returns nil when the core holds no work.
 func (c *Core) Diagnose(cycle uint64, maxWarps int) []string {
-	if len(c.warps) == 0 && len(c.txQueue) == 0 && len(c.events) == 0 {
+	if len(c.warps) == 0 && c.txQueue.len() == 0 && len(c.events) == 0 {
 		return nil
 	}
 	lines := make([]string, 0, len(c.warps)+2)
 	lines = append(lines, fmt.Sprintf("txQueue=%d events=%d mshrs: l1d=%d l1t=%d l1z=%d l1c=%d",
-		len(c.txQueue), len(c.events),
+		c.txQueue.len(), len(c.events),
 		c.L1D.PendingMisses(), c.L1T.PendingMisses(), c.L1Z.PendingMisses(), c.L1C.PendingMisses()))
 	for i, w := range c.warps {
 		if maxWarps > 0 && i >= maxWarps {
@@ -123,7 +177,7 @@ func (c *Core) warpDiag(w *Warp, cycle uint64) string {
 				state = "mem-wait"
 			case w.hazard(in):
 				state = "scoreboard"
-			case in.IsMemory() && len(c.txQueue) >= txQueueDepth:
+			case in.IsMemory() && c.txQueue.len() >= txQueueDepth:
 				state = "lsu-full"
 			}
 		}

@@ -71,3 +71,38 @@ func TestGuardDetectsNegativeOutstanding(t *testing.T) {
 		t.Fatalf("violations = %v, want a negative-outstanding violation", v)
 	}
 }
+
+// A retired warp goes to the core's free list; putting it back in
+// reach of the scheduler or a writeback event must trip the recycling
+// audit rather than let its reuse corrupt a live warp.
+func TestGuardDetectsReachableFreeWarp(t *testing.T) {
+	env := newTestEnv()
+	c := NewCore(DefaultCoreConfig(), nil)
+	g := guard.NewChecker()
+	c.AttachGuard(g)
+
+	w := launch(t, c, guardProg, env, FullMask, nil)
+	end := runCore(t, c, 1000)
+	if len(c.freeWarps) != 1 || c.freeWarps[0] != w {
+		t.Fatalf("retired warp not recycled: free list %v", c.freeWarps)
+	}
+	g.Tick(end)
+	if v := g.Violations(); len(v) != 0 {
+		t.Fatalf("healthy free list reported violations: %v", v)
+	}
+
+	c.events = append(c.events, wbEvent{at: end + 10, warp: w})
+	g.Tick(end + 1)
+	v := g.Violations()
+	if len(v) != 1 || !strings.Contains(v[0].Detail, "named by a writeback event") {
+		t.Fatalf("violations = %v, want a free-listed warp named by an event", v)
+	}
+	c.events = c.events[:0]
+
+	c.warps = append(c.warps, w)
+	g.Tick(end + 2)
+	v = g.Violations()
+	if len(v) != 2 || !strings.Contains(v[1].Detail, "is resident") {
+		t.Fatalf("violations = %v, want a resident free-listed warp", v)
+	}
+}

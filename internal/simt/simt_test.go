@@ -488,7 +488,7 @@ func runCoreSlow(t *testing.T, c *Core, budget uint64) []*mem.Request {
 		}
 	}
 	t.Fatalf("core did not go idle within %d cycles (%d warps, %d tx queued, %d out)",
-		budget, c.ActiveWarps(), len(c.txQueue), c.Out.Len())
+		budget, c.ActiveWarps(), c.txQueue.len(), c.Out.Len())
 	return served
 }
 

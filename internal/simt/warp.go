@@ -106,12 +106,16 @@ type Warp struct {
 	launchCycle uint64
 }
 
-// newWarp initializes a warp at pc 0 with the given initial active mask.
-func newWarp(id int, prog *shader.Program, env WarpEnv, blockID int, mask uint32) *Warp {
-	w := &Warp{ID: id, Prog: prog, Env: env, BlockID: blockID}
-	w.stack = append(w.stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
+// reset reinitializes w in place as a fresh warp at pc 0 with the
+// given initial active mask. Everything but the SIMT stack's backing
+// array is cleared, so a reset warp is indistinguishable from a newly
+// allocated one; the core's warp free list and FuncRunner both rely on
+// this.
+func (w *Warp) reset(id int, prog *shader.Program, env WarpEnv, blockID int, mask uint32) {
+	stack := w.stack[:0]
+	*w = Warp{ID: id, Prog: prog, Env: env, BlockID: blockID}
+	w.stack = append(stack, stackEntry{pc: 0, rpc: noRPC, mask: mask})
 	w.pendingRPC = noRPC
-	return w
 }
 
 // Done reports whether every thread has exited.
@@ -232,18 +236,24 @@ func (w *Warp) hazard(in shader.Instr) bool {
 	return false
 }
 
+// regSet is the set of destination registers one instruction locked
+// in the scoreboard. DstWidth is at most 4, so it is a value: memory
+// ops, writeback events and unlock carry it without allocating.
+type regSet struct {
+	r [4]uint8
+	n uint8
+}
+
 // lockDst marks the instruction's destination registers pending.
-func (w *Warp) lockDst(in shader.Instr) []uint8 {
+func (w *Warp) lockDst(in shader.Instr) regSet {
+	var regs regSet
 	n := in.DstWidth()
-	if n == 0 {
-		return nil
-	}
-	regs := make([]uint8, 0, n)
 	for i := 0; i < n; i++ {
 		r := in.Dst + uint8(i)
 		w.scoreboard[r]++
-		regs = append(regs, r)
+		regs.r[i] = r
 	}
+	regs.n = uint8(n)
 	return regs
 }
 
@@ -251,9 +261,9 @@ func (w *Warp) lockDst(in shader.Instr) []uint8 {
 // scoreboard-release chokepoint (ALU/SFU writebacks and memory fills
 // both land here), so it doubles as the park-clearing hook: the warp
 // becomes schedulable again the cycle its dependency resolves.
-func (w *Warp) unlock(regs []uint8) {
+func (w *Warp) unlock(regs regSet) {
 	w.parked = 0
-	for _, r := range regs {
+	for _, r := range regs.r[:regs.n] {
 		if w.scoreboard[r] > 0 {
 			w.scoreboard[r]--
 		}

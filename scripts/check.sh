@@ -1,8 +1,10 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, the full test suite, a race-detector
 # pass (shortened: race mode pays ~20x per simulated cycle, and the
-# determinism tests honor -short), the parallel-engine determinism gate,
-# and — on machines with enough cores — the parallel speedup guard.
+# determinism tests honor -short), the parallel-engine determinism gate
+# (also oversubscribed at GOMAXPROCS=1), the golden busy-path digests,
+# the par reuse stress, the allocation gates and — on machines with
+# enough cores — the parallel speedup guard.
 # Run from the repository root:
 #
 #	scripts/check.sh
@@ -62,8 +64,22 @@ echo "== chaos soak gate =="
 # re-derive the same fault schedule (see internal/chaos).
 go test -count=1 -run 'TestChaosSoak|TestJournalReplayRacesReexecution' -timeout 180s ./internal/chaos
 
-echo "== determinism (workers 1 vs 4, skip vs no-skip vs wheel) =="
-go test -count=1 -run 'TestParallelDeterminism|TestSkipDeterminism|TestWheelDeterminism' ./internal/exp
+echo "== determinism (workers 1 vs 4, skip vs no-skip vs wheel, golden digests) =="
+go test -count=1 -run 'TestParallelDeterminism|TestSkipDeterminism|TestWheelDeterminism|TestBusyPathGoldenDigests' ./internal/exp
+# Again on one OS thread: four workers then oversubscribe the CPU,
+# which is what exposed the par.Group lost-completion race.
+GOMAXPROCS=1 go test -count=1 -run 'TestParallelDeterminism|TestSkipDeterminism|TestWheelDeterminism|TestBusyPathGoldenDigests' ./internal/exp
+
+echo "== par reuse stress =="
+# Back-to-back reuse of one group and of the wheel's Arm/Wake protocol
+# on 4 workers at GOMAXPROCS 1, 2 and 4 (the tests set it themselves).
+go test -count=1 -run 'TestGroupReuseStress|TestWheelReuseStress' ./internal/par
+
+echo "== busy-path allocation gates =="
+# The SIMT core and its L1s are allocation-free in steady state, a
+# cache miss allocates only its fill request, and a W3 frame stays
+# under its allocation ceiling.
+go test -count=1 -run 'AllocFree|TestMissFillAllocs|TestFrameW3AllocCeiling' ./internal/simt ./internal/cache .
 
 echo "== checkpoint-resume digest gate =="
 # The sampled-simulation contract: the functional executor's memory is
